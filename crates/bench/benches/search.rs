@@ -1,13 +1,12 @@
 //! Criterion benchmarks for the shortest-path engine: one-to-one Dijkstra
-//! with early termination, A*, and full shortest-path trees (the dominant
-//! cost of Plateaus and Dissimilarity per §2.2/§2.3).
+//! with early termination and full shortest-path trees (the dominant cost
+//! of Plateaus and Dissimilarity per §2.2/§2.3).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use arp_citygen::{City, Scale};
 use arp_core::search::{Direction, SearchSpace};
-use arp_core::{BidirSearch, ChSearch, ContractionHierarchy};
 
 fn search_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("search");
@@ -27,19 +26,6 @@ fn search_benches(c: &mut Criterion) {
                 b.iter(|| {
                     for &(s, t, _) in queries {
                         black_box(ws.shortest_path(&net, net.weights(), s, t).unwrap().cost_ms);
-                    }
-                });
-            },
-        );
-
-        group.bench_with_input(
-            BenchmarkId::new("astar_1to1", &label),
-            &queries,
-            |b, queries| {
-                let mut ws = SearchSpace::new(&net);
-                b.iter(|| {
-                    for &(s, t, _) in queries {
-                        black_box(ws.astar(&net, net.weights(), s, t).unwrap().cost_ms);
                     }
                 });
             },
@@ -72,35 +58,6 @@ fn search_benches(c: &mut Criterion) {
                             .shortest_path_tree(&net, net.weights(), t, Direction::Backward)
                             .unwrap();
                         black_box(tree.dist.len());
-                    }
-                });
-            },
-        );
-
-        group.bench_with_input(
-            BenchmarkId::new("bidirectional_1to1", &label),
-            &queries,
-            |b, queries| {
-                let mut bi = BidirSearch::new(&net);
-                b.iter(|| {
-                    for &(s, t, _) in queries {
-                        black_box(bi.shortest_distance(&net, net.weights(), s, t).unwrap());
-                    }
-                });
-            },
-        );
-
-        // CH preprocessing is done once outside the measured loop; queries
-        // then show the index speed-up over plain Dijkstra.
-        let ch = ContractionHierarchy::build(&net, net.weights()).unwrap();
-        group.bench_with_input(
-            BenchmarkId::new("ch_query", &label),
-            &queries,
-            |b, queries| {
-                let mut search = ChSearch::new(&ch);
-                b.iter(|| {
-                    for &(s, t, _) in queries {
-                        black_box(search.distance(&ch, s, t).unwrap());
                     }
                 });
             },

@@ -14,7 +14,7 @@ use std::time::Instant;
 use arp_citygen::{City, Scale};
 use arp_core::prelude::*;
 use arp_core::search::{Direction, SearchSpace};
-use arp_core::{ChSearch, ChTopology, ContractionHierarchy};
+use arp_core::ChTopology;
 
 fn time_per_query(mut f: impl FnMut(), queries: usize, reps: usize) -> f64 {
     // Warm-up round.
@@ -28,13 +28,6 @@ fn time_per_query(mut f: impl FnMut(), queries: usize, reps: usize) -> f64 {
 
 fn row(report: &mut String, name: &str, ms: f64) {
     let _ = writeln!(report, "  {name:<26} {ms:>9.3} ms/query");
-}
-
-fn row_total(report: &mut String, name: &str, ms: f64, shortcuts: usize) {
-    let _ = writeln!(
-        report,
-        "  {name:<26} {ms:>9.1} ms total ({shortcuts} shortcuts)"
-    );
 }
 
 /// Total settled nodes recorded across the four technique lanes.
@@ -97,42 +90,41 @@ fn main() {
                 reps,
             ),
         );
-        let mut bi = BidirSearch::new(&net);
-        row(
-            &mut report,
-            "bidirectional dijkstra",
-            time_per_query(
-                || {
-                    for &(s, t, _) in &queries {
-                        let _ = bi.shortest_distance(&net, net.weights(), s, t);
-                    }
-                },
-                queries.len(),
-                reps,
-            ),
+        // The CH index: the metric-independent topology once per city,
+        // one customization per weight column (traffic epoch), then exact
+        // point-to-point queries on the customized metric.
+        let topo_start = Instant::now();
+        let topo = ChTopology::build(&net);
+        let topo_ms = topo_start.elapsed().as_secs_f64() * 1000.0;
+        let _ = writeln!(
+            report,
+            "  {:<26} {topo_ms:>9.1} ms total ({} arcs, {} triangles)",
+            "CCH topology build",
+            topo.num_arcs(),
+            topo.num_triangles()
         );
-        let ch_build_start = Instant::now();
-        let ch = ContractionHierarchy::build(&net, net.weights()).unwrap();
-        let ch_build = ch_build_start.elapsed().as_secs_f64() * 1000.0;
-        let mut chq = ChSearch::new(&ch);
+        let customize_start = Instant::now();
+        let metric = topo
+            .customize(&net, net.weights())
+            .expect("base column customizes");
+        let customize_ms = customize_start.elapsed().as_secs_f64() * 1000.0;
+        let _ = writeln!(
+            report,
+            "  {:<26} {customize_ms:>9.1} ms total (per-epoch cost)",
+            "CCH customization"
+        );
         row(
             &mut report,
             "CH query",
             time_per_query(
                 || {
                     for &(s, t, _) in &queries {
-                        let _ = chq.distance(&ch, s, t);
+                        let _ = topo.distance(&metric, s, t);
                     }
                 },
                 queries.len(),
                 reps,
             ),
-        );
-        row_total(
-            &mut report,
-            "CH preprocessing",
-            ch_build,
-            ch.num_shortcuts(),
         );
         row(
             &mut report,
@@ -287,30 +279,9 @@ fn main() {
 
         // CH index tier on/off: the same substrate (two trees + base
         // route), built by two full Dijkstras versus by the customized
-        // CH (bidirectional upward search + two PHAST sweeps). Outputs
-        // are byte-identical, so this isolates the build cost — the
-        // serving layer's fast path when the epoch's metric is ready.
-        let topo_start = Instant::now();
-        let topo = ChTopology::build(&net);
-        let topo_ms = topo_start.elapsed().as_secs_f64() * 1000.0;
-        let _ = writeln!(
-            report,
-            "  {:<26} {topo_ms:>9.1} ms total ({} arcs, {} triangles)",
-            "CCH topology build",
-            topo.num_arcs(),
-            topo.num_triangles()
-        );
-        let customize_start = Instant::now();
-        let metric = topo
-            .customize(&net, net.weights())
-            .expect("base column customizes");
-        let customize_ms = customize_start.elapsed().as_secs_f64() * 1000.0;
-        let _ = writeln!(
-            report,
-            "  {:<26} {customize_ms:>9.1} ms total (per-epoch cost)",
-            "CCH customization"
-        );
-
+        // CH (two PHAST sweeps). Outputs are byte-identical, so this
+        // isolates the build cost — the serving layer's fast path when
+        // the epoch's metric is ready.
         let budget = SearchBudget::unlimited();
         let mut build_settled_off = 0u64;
         let mut build_settled_on = 0u64;

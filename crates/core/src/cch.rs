@@ -1,17 +1,17 @@
 //! Customizable contraction hierarchies (CCH) — the epoch-customizable
 //! index tier behind the serving substrate.
 //!
-//! [`ch`](crate::ch) builds a classic weight-dependent CH: witness
-//! searches prune shortcuts against the *base* weights, so a live-traffic
-//! tick invalidates the whole index (a witness path can be slowed or
-//! closed arbitrarily, and the pruned shortcut has no replacement). This
-//! module splits the index the CRP/CCH way instead:
+//! A classic weight-dependent CH prunes shortcuts with witness searches
+//! against one metric, so a live-traffic tick invalidates the whole index
+//! (a witness path can be slowed or closed arbitrarily, and the pruned
+//! shortcut has no replacement). This module splits the index the
+//! CRP/CCH way instead:
 //!
 //! * [`ChTopology`] — the **metric-independent** half, built once per
 //!   city at startup: a contraction order over the graph *structure*
-//!   (witness searches are demoted to an ordering heuristic; no shortcut
-//!   is ever pruned by one) plus the full elimination fill-in, stored as
-//!   undirected *arcs* `{lo, hi}` with `rank[lo] < rank[hi]`, the
+//!   (a fill-in count steers the order; no shortcut is ever pruned)
+//!   plus the full elimination fill-in, stored as undirected *arcs*
+//!   `{lo, hi}` with `rank[lo] < rank[hi]`, the
 //!   upward-arc CSR the queries walk, and the precomputed **lower
 //!   triangle** list the customization relaxes.
 //! * [`ChMetric`] — the cheap per-epoch half: two weights per arc
@@ -20,8 +20,7 @@
 //!   edges (a `CLOSED` edge simply contributes nothing) followed by one
 //!   pass over the triangles in middle-rank order. No heap, no witness
 //!   searches — re-customizing after a traffic tick costs milliseconds
-//!   where a [`ContractionHierarchy`](crate::ContractionHierarchy)
-//!   rebuild costs seconds.
+//!   where rebuilding a witness-pruned CH costs seconds.
 //!
 //! Because every fill-in arc is kept, basic customization is exact for
 //! **any** non-negative metric: overlay factors ≥ 1.0, category slowdowns,
@@ -49,7 +48,6 @@ use arp_roadnet::ids::{EdgeId, NodeId};
 use arp_roadnet::weight::{Cost, Weight, WeightView, CLOSED, INFINITY};
 
 use crate::budget::{SearchBudget, CHECK_INTERVAL};
-use crate::ch::ChConfig;
 use crate::error::CoreError;
 use crate::metrics::SearchStats;
 use crate::path::Path;
@@ -125,16 +123,11 @@ impl ChMetric {
 }
 
 impl ChTopology {
-    /// Builds the topology with default parameters.
+    /// Builds the topology: a contraction order over the graph structure
+    /// plus the full elimination fill-in. Witness searches never prune a
+    /// shortcut, since that would bake the build-time metric into the
+    /// topology.
     pub fn build(net: &RoadNetwork) -> ChTopology {
-        Self::build_with(net, &ChConfig::default())
-    }
-
-    /// Builds the topology with explicit parameters. Only the ordering
-    /// terms of [`ChConfig`] matter here: witness searches never prune a
-    /// shortcut (that would bake the build-time metric into the
-    /// topology), so `witness_settle_limit` is unused.
-    pub fn build_with(net: &RoadNetwork, config: &ChConfig) -> ChTopology {
         let n = net.num_nodes();
         // Undirected elimination graph (self-loops never matter).
         let mut adj: Vec<HashSet<u32>> = vec![HashSet::new(); n];
@@ -154,10 +147,10 @@ impl ChTopology {
         let mut contract_nbrs: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut order: Vec<u32> = Vec::with_capacity(n);
 
-        // Same shape as ch.rs: edge difference (fill-in minus degree)
-        // plus the deleted-neighbours term, lazily re-evaluated. The
-        // fill-in count plays the witness search's old role — it only
-        // steers the order, never the shortcut set.
+        // Edge difference (fill-in minus degree) plus the number of
+        // already-contracted neighbours, lazily re-evaluated. The fill-in
+        // count stands in for a witness search — it only steers the
+        // order, never the shortcut set.
         let priority =
             |adj: &[HashSet<u32>], contracted: &[bool], deleted: &[u32], v: u32| -> i64 {
                 let nbrs: Vec<u32> = adj[v as usize]
@@ -174,8 +167,7 @@ impl ChTopology {
                         }
                     }
                 }
-                (fill - degree) * 4
-                    + (deleted[v as usize] as f64 * config.deleted_neighbours_weight) as i64
+                (fill - degree) * 4 + deleted[v as usize] as i64
             };
 
         let mut heap: BinaryHeap<Reverse<(i64, u32)>> = BinaryHeap::new();
@@ -501,8 +493,7 @@ impl ChTopology {
     }
 
     /// Exact shortest-path distance under `metric`, or `None` when
-    /// unreachable (or `source == target`, mirroring
-    /// [`crate::ContractionHierarchy::distance`]).
+    /// unreachable or `source == target`.
     pub fn distance(&self, metric: &ChMetric, source: NodeId, target: NodeId) -> Option<Cost> {
         self.query(metric, source, target, &SearchBudget::unlimited())
             .ok()

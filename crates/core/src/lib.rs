@@ -4,8 +4,11 @@
 //! Alternative route planning techniques — the subject matter of the ICDE
 //! 2022 comparative user study. The crate implements, from scratch:
 //!
-//! * a reusable shortest-path engine ([`search`]): Dijkstra with
-//!   generation-stamped labels, A*, forward/backward shortest-path trees,
+//! * one shortest-path engine per job: [`search`] (Dijkstra with
+//!   generation-stamped labels, one-to-one queries and forward/backward
+//!   shortest-path trees) and the customizable contraction-hierarchy
+//!   index [`cch`] (exact point-to-point queries and PHAST one-to-all
+//!   trees, re-customized per traffic epoch),
 //! * a per-request shared search [`substrate`]: both trees plus the base
 //!   optimal route computed once and handed to every technique through an
 //!   optional [`ProviderContext`], so the four-way fan-out stops
@@ -51,10 +54,8 @@
 
 pub mod admissibility;
 pub mod altgraph;
-pub mod bidir;
 pub mod budget;
 pub mod cch;
-pub mod ch;
 pub mod dissimilarity;
 pub mod error;
 pub mod esx;
@@ -76,10 +77,8 @@ pub mod yen;
 pub use admissibility::{
     admissibility, admissible_share, AdmissibilityCriteria, AdmissibilityReport,
 };
-pub use bidir::BidirSearch;
 pub use budget::SearchBudget;
 pub use cch::{ChMetric, ChTopology};
-pub use ch::{ChConfig, ChSearch, ContractionHierarchy};
 pub use dissimilarity::{
     dissimilarity_alternatives, dissimilarity_alternatives_from_trees, DissimilarityOptions,
     DissimilarityStats,
@@ -112,7 +111,6 @@ pub use yen::{yen_k_shortest_paths, yen_k_shortest_paths_budgeted};
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {
-    pub use crate::bidir::BidirSearch;
     pub use crate::budget::SearchBudget;
     pub use crate::dissimilarity::{dissimilarity_alternatives, DissimilarityOptions};
     pub use crate::error::CoreError;

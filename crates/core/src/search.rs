@@ -13,7 +13,7 @@ use std::collections::BinaryHeap;
 
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::{EdgeId, NodeId};
-use arp_roadnet::weight::{Cost, Weight, WeightView, CLOSED, INFINITY};
+use arp_roadnet::weight::{Cost, Weight, CLOSED, INFINITY};
 
 use crate::budget::{SearchBudget, CHECK_INTERVAL};
 use crate::error::CoreError;
@@ -175,10 +175,11 @@ struct HeapEntry(Cost, u32);
 ///
 /// Label arrays are generation-stamped: starting a new query bumps the
 /// generation instead of clearing, so a query on a large network touches
-/// only the vertices it actually settles.
+/// only the vertices it actually settles. Both entry points run the same
+/// heap loop (`settle`) and reconstruct parents canonically afterwards,
+/// so the workspace stores distances only.
 pub struct SearchSpace {
     dist: Vec<Cost>,
-    parent: Vec<EdgeId>,
     stamp: Vec<u32>,
     generation: u32,
     heap: BinaryHeap<Reverse<HeapEntry>>,
@@ -192,7 +193,6 @@ impl SearchSpace {
     pub fn new(net: &RoadNetwork) -> SearchSpace {
         SearchSpace {
             dist: vec![INFINITY; net.num_nodes()],
-            parent: vec![EdgeId::INVALID; net.num_nodes()],
             stamp: vec![0; net.num_nodes()],
             generation: 0,
             heap: BinaryHeap::new(),
@@ -246,7 +246,6 @@ impl SearchSpace {
         self.stats = SearchStats::default();
         if self.dist.len() != net.num_nodes() {
             self.dist = vec![INFINITY; net.num_nodes()];
-            self.parent = vec![EdgeId::INVALID; net.num_nodes()];
             self.stamp = vec![0; net.num_nodes()];
             self.generation = 0;
         }
@@ -269,10 +268,9 @@ impl SearchSpace {
     }
 
     #[inline]
-    fn set(&mut self, v: u32, d: Cost, p: EdgeId) {
+    fn set(&mut self, v: u32, d: Cost) {
         self.stamp[v as usize] = self.generation;
         self.dist[v as usize] = d;
-        self.parent[v as usize] = p;
     }
 
     fn check_endpoints(net: &RoadNetwork, source: NodeId, target: NodeId) -> Result<(), CoreError> {
@@ -298,20 +296,23 @@ impl SearchSpace {
         Ok(())
     }
 
-    /// One-to-one shortest path with early termination at `target`.
-    pub fn shortest_path(
+    /// The Dijkstra kernel: settles vertices from `root` in `direction`
+    /// until the heap runs dry or `stop` is settled, leaving the labels
+    /// in the workspace. Polls the budget on entry and every
+    /// [`CHECK_INTERVAL`] pops, and flushes the stats on completion.
+    #[inline]
+    fn settle(
         &mut self,
         net: &RoadNetwork,
         weights: &[Weight],
-        source: NodeId,
-        target: NodeId,
-    ) -> Result<Path, CoreError> {
-        Self::check_endpoints(net, source, target)?;
-        Self::check_weights(net, weights)?;
+        root: NodeId,
+        direction: Direction,
+        stop: Option<u32>,
+    ) -> Result<(), CoreError> {
         self.begin(net);
         self.poll_budget(0)?;
-        self.set(source.0, 0, EdgeId::INVALID);
-        self.heap.push(Reverse(HeapEntry(0, source.0)));
+        self.set(root.0, 0);
+        self.heap.push(Reverse(HeapEntry(0, root.0)));
 
         let mut pops_since_check: u64 = 0;
         while let Some(Reverse(HeapEntry(d, v))) = self.heap.pop() {
@@ -325,25 +326,61 @@ impl SearchSpace {
                 continue; // stale entry
             }
             self.stats.settled += 1;
-            if v == target.0 {
+            if stop == Some(v) {
                 break;
             }
-            for e in net.out_edges(NodeId(v)) {
-                self.stats.relaxed += 1;
-                let w = weights[e.index()];
-                if w == CLOSED {
-                    continue; // incident closure: the edge is not traversable
+            // One branch per settled vertex; each arm walks its adjacency
+            // with a monomorphic relaxation loop.
+            match direction {
+                Direction::Forward => {
+                    self.relax(weights, d, net.out_edges(NodeId(v)), |e| net.head(e).0)
                 }
-                let head = net.head(e).0;
-                let nd = d + w as Cost;
-                if nd < self.get_dist(head) {
-                    self.set(head, nd, e);
-                    self.heap.push(Reverse(HeapEntry(nd, head)));
+                Direction::Backward => {
+                    self.relax(weights, d, net.in_edges(NodeId(v)), |e| net.tail(e).0)
                 }
             }
         }
         self.budget.charge(pops_since_check); // account the partial interval
         self.metrics.record(&self.stats);
+        Ok(())
+    }
+
+    /// Relaxes `edges` out of a vertex settled at distance `d`; `other`
+    /// maps an edge to its far endpoint.
+    #[inline(always)]
+    fn relax(
+        &mut self,
+        weights: &[Weight],
+        d: Cost,
+        edges: impl Iterator<Item = EdgeId>,
+        other: impl Fn(EdgeId) -> u32,
+    ) {
+        for e in edges {
+            self.stats.relaxed += 1;
+            let w = weights[e.index()];
+            if w == CLOSED {
+                continue; // incident closure: the edge is not traversable
+            }
+            let u = other(e);
+            let nd = d + w as Cost;
+            if nd < self.get_dist(u) {
+                self.set(u, nd);
+                self.heap.push(Reverse(HeapEntry(nd, u)));
+            }
+        }
+    }
+
+    /// One-to-one shortest path with early termination at `target`.
+    pub fn shortest_path(
+        &mut self,
+        net: &RoadNetwork,
+        weights: &[Weight],
+        source: NodeId,
+        target: NodeId,
+    ) -> Result<Path, CoreError> {
+        Self::check_endpoints(net, source, target)?;
+        Self::check_weights(net, weights)?;
+        self.settle(net, weights, source, Direction::Forward, Some(target.0))?;
 
         if self.get_dist(target.0) == INFINITY {
             return Err(CoreError::Unreachable { source, target });
@@ -391,188 +428,18 @@ impl SearchSpace {
             return Err(CoreError::InvalidNode(root));
         }
         Self::check_weights(net, weights)?;
-        self.begin(net);
-        self.poll_budget(0)?;
-        self.set(root.0, 0, EdgeId::INVALID);
-        self.heap.push(Reverse(HeapEntry(0, root.0)));
-
-        let mut pops_since_check: u64 = 0;
-        while let Some(Reverse(HeapEntry(d, v))) = self.heap.pop() {
-            self.stats.heap_pops += 1;
-            pops_since_check += 1;
-            if pops_since_check == CHECK_INTERVAL {
-                pops_since_check = 0;
-                self.poll_budget(CHECK_INTERVAL)?;
-            }
-            if d > self.get_dist(v) {
-                continue;
-            }
-            self.stats.settled += 1;
-            match direction {
-                Direction::Forward => {
-                    for e in net.out_edges(NodeId(v)) {
-                        self.stats.relaxed += 1;
-                        let w = weights[e.index()];
-                        if w == CLOSED {
-                            continue;
-                        }
-                        let nd = d + w as Cost;
-                        let head = net.head(e).0;
-                        if nd < self.get_dist(head) {
-                            self.set(head, nd, e);
-                            self.heap.push(Reverse(HeapEntry(nd, head)));
-                        }
-                    }
-                }
-                Direction::Backward => {
-                    for e in net.in_edges(NodeId(v)) {
-                        self.stats.relaxed += 1;
-                        let w = weights[e.index()];
-                        if w == CLOSED {
-                            continue;
-                        }
-                        let nd = d + w as Cost;
-                        let tail = net.tail(e).0;
-                        if nd < self.get_dist(tail) {
-                            self.set(tail, nd, e);
-                            self.heap.push(Reverse(HeapEntry(nd, tail)));
-                        }
-                    }
-                }
-            }
-        }
-        self.budget.charge(pops_since_check); // account the partial interval
-        self.metrics.record(&self.stats);
+        self.settle(net, weights, root, direction, None)?;
 
         // Materialize dense arrays for the tree, re-parenting every
         // vertex canonically (smallest tight edge) so the tree depends
         // only on the distance labels, not on heap pop order. The CH
         // fast path produces the same labels and hence the same tree.
-        let n = net.num_nodes();
-        let mut dist = vec![INFINITY; n];
-        for (v, d) in dist.iter_mut().enumerate() {
-            if self.stamp[v] == self.generation {
-                *d = self.dist[v];
-            }
-        }
+        let dist = (0..net.num_nodes() as u32)
+            .map(|v| self.get_dist(v))
+            .collect();
         Ok(canonical_tree_from_dists(
             net, weights, root, direction, dist,
         ))
-    }
-
-    /// A* one-to-one search using the great-circle / max-speed lower bound.
-    ///
-    /// Produces the same paths as [`SearchSpace::shortest_path`] but
-    /// settles fewer vertices on spread-out networks.
-    pub fn astar(
-        &mut self,
-        net: &RoadNetwork,
-        weights: &[Weight],
-        source: NodeId,
-        target: NodeId,
-    ) -> Result<Path, CoreError> {
-        Self::check_endpoints(net, source, target)?;
-        Self::check_weights(net, weights)?;
-        let vmax_m_per_ms = net.max_speed_kmh() as f64 / 3.6 / 1000.0;
-        let tp = net.point(target);
-        let h = |v: NodeId| -> Cost {
-            let d_m = arp_roadnet::geo::haversine_m(net.point(v), tp);
-            (d_m / vmax_m_per_ms) as Cost
-        };
-
-        self.begin(net);
-        self.poll_budget(0)?;
-        self.set(source.0, 0, EdgeId::INVALID);
-        self.heap.push(Reverse(HeapEntry(h(source), source.0)));
-
-        let mut pops_since_check: u64 = 0;
-        while let Some(Reverse(HeapEntry(_, v))) = self.heap.pop() {
-            self.stats.heap_pops += 1;
-            pops_since_check += 1;
-            if pops_since_check == CHECK_INTERVAL {
-                pops_since_check = 0;
-                self.poll_budget(CHECK_INTERVAL)?;
-            }
-            self.stats.settled += 1;
-            if v == target.0 {
-                break;
-            }
-            let d = self.get_dist(v);
-            for e in net.out_edges(NodeId(v)) {
-                self.stats.relaxed += 1;
-                let w = weights[e.index()];
-                if w == CLOSED {
-                    continue;
-                }
-                let nd = d + w as Cost;
-                let head = net.head(e).0;
-                if nd < self.get_dist(head) {
-                    self.set(head, nd, e);
-                    self.heap
-                        .push(Reverse(HeapEntry(nd + h(NodeId(head)), head)));
-                }
-            }
-        }
-        self.budget.charge(pops_since_check); // account the partial interval
-        self.metrics.record(&self.stats);
-
-        if self.get_dist(target.0) == INFINITY {
-            return Err(CoreError::Unreachable { source, target });
-        }
-        let mut edges = Vec::new();
-        let mut cur = target.0;
-        while cur != source.0 {
-            let e = self.parent[cur as usize];
-            edges.push(e);
-            cur = net.tail(e).0;
-        }
-        edges.reverse();
-        Ok(Path::from_edges(net, weights, edges))
-    }
-
-    /// [`SearchSpace::shortest_path`] over any [`WeightView`] (e.g. a
-    /// live-traffic epoch snapshot).
-    pub fn shortest_path_view<V: WeightView + ?Sized>(
-        &mut self,
-        net: &RoadNetwork,
-        view: &V,
-        source: NodeId,
-        target: NodeId,
-    ) -> Result<Path, CoreError> {
-        self.shortest_path(net, view.column(), source, target)
-    }
-
-    /// [`SearchSpace::shortest_distance`] over any [`WeightView`].
-    pub fn shortest_distance_view<V: WeightView + ?Sized>(
-        &mut self,
-        net: &RoadNetwork,
-        view: &V,
-        source: NodeId,
-        target: NodeId,
-    ) -> Result<Cost, CoreError> {
-        self.shortest_distance(net, view.column(), source, target)
-    }
-
-    /// [`SearchSpace::shortest_path_tree`] over any [`WeightView`].
-    pub fn shortest_path_tree_view<V: WeightView + ?Sized>(
-        &mut self,
-        net: &RoadNetwork,
-        view: &V,
-        root: NodeId,
-        direction: Direction,
-    ) -> Result<ShortestPathTree, CoreError> {
-        self.shortest_path_tree(net, view.column(), root, direction)
-    }
-
-    /// [`SearchSpace::astar`] over any [`WeightView`].
-    pub fn astar_view<V: WeightView + ?Sized>(
-        &mut self,
-        net: &RoadNetwork,
-        view: &V,
-        source: NodeId,
-        target: NodeId,
-    ) -> Result<Path, CoreError> {
-        self.astar(net, view.column(), source, target)
     }
 }
 
@@ -743,10 +610,6 @@ mod tests {
             ws.shortest_path(&net, &overlay, NodeId(0), NodeId(2)),
             Err(CoreError::Unreachable { .. })
         ));
-        assert!(matches!(
-            ws.astar(&net, &overlay, NodeId(0), NodeId(2)),
-            Err(CoreError::Unreachable { .. })
-        ));
         let fwd = ws
             .shortest_path_tree(&net, &overlay, NodeId(0), Direction::Forward)
             .unwrap();
@@ -755,31 +618,6 @@ mod tests {
             .shortest_path_tree(&net, &overlay, NodeId(2), Direction::Backward)
             .unwrap();
         assert!(!bwd.reached(NodeId(0)));
-    }
-
-    #[test]
-    fn view_entry_points_match_slice_entry_points() {
-        let net = grid(4);
-        let mut ws = SearchSpace::new(&net);
-        let by_slice = ws
-            .shortest_path(&net, net.weights(), NodeId(0), NodeId(15))
-            .unwrap();
-        let column: Vec<Weight> = net.weights().to_vec();
-        let by_view = ws
-            .shortest_path_view(&net, &column, NodeId(0), NodeId(15))
-            .unwrap();
-        assert_eq!(by_slice.edges, by_view.edges);
-        assert_eq!(
-            ws.shortest_distance_view(&net, &column, NodeId(0), NodeId(15))
-                .unwrap(),
-            by_slice.cost_ms
-        );
-        let a = ws.astar_view(&net, &column, NodeId(0), NodeId(15)).unwrap();
-        assert_eq!(a.cost_ms, by_slice.cost_ms);
-        let tree = ws
-            .shortest_path_tree_view(&net, &column, NodeId(0), Direction::Forward)
-            .unwrap();
-        assert_eq!(tree.distance(NodeId(15)), by_slice.cost_ms);
     }
 
     #[test]
@@ -847,20 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn astar_matches_dijkstra() {
-        let net = grid(6);
-        let mut ws = SearchSpace::new(&net);
-        for (s, t) in [(0u32, 35u32), (3, 30), (7, 28), (12, 23)] {
-            let d = ws
-                .shortest_path(&net, net.weights(), NodeId(s), NodeId(t))
-                .unwrap();
-            let a = ws.astar(&net, net.weights(), NodeId(s), NodeId(t)).unwrap();
-            assert_eq!(a.cost_ms, d.cost_ms, "{s}->{t}");
-            assert!(a.validate(&net));
-        }
-    }
-
-    #[test]
     fn one_shot_helper() {
         let net = grid(3);
         let p = shortest_path(&net, net.weights(), NodeId(0), NodeId(8)).unwrap();
@@ -878,6 +702,40 @@ mod tests {
         assert!(s.settled <= s.heap_pops);
         // Every settled vertex except the source was reached via an edge.
         assert!(s.relaxed + 1 >= s.settled);
+    }
+
+    /// The kernel's exact work counts on a fixed query. These feed
+    /// `/api/metrics` and the per-lane settled counts, so a refactor of
+    /// the heap loop must leave every one of them unchanged.
+    #[test]
+    fn kernel_work_counts_are_pinned() {
+        let net = grid(40);
+        // Uneven weights (stale heap entries) and one closure.
+        let mut overlay: Vec<Weight> = net
+            .weights()
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| w * (1 + (i % 7) as Weight))
+            .collect();
+        overlay[100] = CLOSED;
+        let mut ws = SearchSpace::new(&net);
+        ws.set_budget(SearchBudget::new());
+        let stats = |heap_pops, settled, relaxed, budget_checks| SearchStats {
+            heap_pops,
+            settled,
+            relaxed,
+            budget_checks,
+        };
+
+        ws.shortest_path(&net, &overlay, NodeId(41), NodeId(1558))
+            .unwrap();
+        assert_eq!(ws.last_stats(), stats(2313, 1596, 6225, 3), "shortest_path");
+        ws.shortest_path_tree(&net, &overlay, NodeId(41), Direction::Forward)
+            .unwrap();
+        assert_eq!(ws.last_stats(), stats(2319, 1600, 6240, 3), "forward tree");
+        ws.shortest_path_tree(&net, &overlay, NodeId(1558), Direction::Backward)
+            .unwrap();
+        assert_eq!(ws.last_stats(), stats(2148, 1600, 6240, 3), "backward tree");
     }
 
     #[test]

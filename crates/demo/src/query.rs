@@ -510,8 +510,8 @@ impl QueryProcessor {
     /// semantics identical to the pre-substrate pipeline.
     ///
     /// With the CH index tier enabled ([`QueryProcessor::with_ch_index`])
-    /// the build takes the CH fast path — a bidirectional upward search
-    /// plus two PHAST sweeps instead of two full Dijkstras — **iff** the
+    /// the build takes the CH fast path — two PHAST sweeps instead of
+    /// two full Dijkstras — **iff** the
     /// metric for the request's pinned epoch is published. Otherwise the
     /// request falls back to the plain build (counted by
     /// `arp_ch_fallbacks_total`); serving never waits on customization.

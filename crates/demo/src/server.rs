@@ -238,13 +238,20 @@ impl DemoApp {
         &self.service
     }
 
-    /// Answers a request whose declared `Content-Length` exceeds
-    /// [`MAX_BODY_BYTES`] — the body was never read, so this cannot go
-    /// through the normal handler. Still counted in
+    /// Answers a request refused at the wire — a `Content-Length` past
+    /// [`MAX_BODY_BYTES`] (`413`) or one that is malformed or declared
+    /// twice with different values (`400`). The body was never read, so
+    /// this cannot go through the normal handler. Still counted in
     /// `arp_http_requests_total` under the endpoint's label.
-    pub fn reject_oversized(&self, method: &str, path: &str) -> HttpResponse {
+    pub fn reject_unread(
+        &self,
+        method: &str,
+        path: &str,
+        status: u16,
+        message: &str,
+    ) -> HttpResponse {
         let endpoint = Self::endpoint_label(method, path);
-        let resp = HttpResponse::error(413, "request body too large");
+        let resp = HttpResponse::error(status, message);
         self.registry
             .counter(
                 "arp_http_requests_total",
@@ -914,16 +921,17 @@ struct RawRequest {
     method: String,
     path: String,
     body: String,
-    /// The declared `Content-Length` exceeded [`MAX_BODY_BYTES`]; the
-    /// body was left unread and the request must be answered `413`.
-    oversized: bool,
+    /// Status and message when the headers forbid reading the body
+    /// (see [`read_request`]); the request must be answered with them.
+    refused: Option<(u16, &'static str)>,
 }
 
 /// Reads one HTTP request (request line, headers, body per
-/// `Content-Length`) from a stream. Bodies whose declared length exceeds
-/// [`MAX_BODY_BYTES`] are **not read at all** — the request comes back
-/// with `oversized` set so the serving loop can answer `413` without
-/// having buffered a single body byte.
+/// `Content-Length`) from a stream. The body is **not read at all** when
+/// the declared length exceeds [`MAX_BODY_BYTES`] (`413`), or when a
+/// `Content-Length` is not a decimal number or two of them disagree
+/// (`400`): the request comes back `refused` so the serving loop can
+/// answer without having buffered a single body byte.
 fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<RawRequest>> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut request_line = String::new();
@@ -934,7 +942,8 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<RawRequest>> {
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("/").to_string();
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
+    let mut refused = None;
     loop {
         let mut line = String::new();
         if reader.read_line(&mut line)? == 0 {
@@ -945,15 +954,29 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<RawRequest>> {
             break;
         }
         if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().unwrap_or(0);
+            let v = v.trim();
+            if v.is_empty() || !v.bytes().all(|b| b.is_ascii_digit()) {
+                refused = Some((400, "malformed Content-Length"));
+                continue;
+            }
+            // All digits: only overflow fails, and that is oversized.
+            let n = v.parse().unwrap_or(usize::MAX);
+            if content_length.is_some_and(|prev| prev != n) {
+                refused = Some((400, "conflicting Content-Length headers"));
+            }
+            content_length = Some(n);
         }
     }
-    if content_length > MAX_BODY_BYTES {
+    let content_length = content_length.unwrap_or(0);
+    if refused.is_none() && content_length > MAX_BODY_BYTES {
+        refused = Some((413, "request body too large"));
+    }
+    if refused.is_some() {
         return Ok(Some(RawRequest {
             method,
             path,
             body: String::new(),
-            oversized: true,
+            refused,
         }));
     }
     let mut body = vec![0u8; content_length];
@@ -962,7 +985,7 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<RawRequest>> {
         method,
         path,
         body: String::from_utf8_lossy(&body).into_owned(),
-        oversized: false,
+        refused: None,
     }))
 }
 
@@ -1039,10 +1062,11 @@ pub fn serve_with_shutdown(
         let active = Arc::clone(&active);
         std::thread::spawn(move || {
             if let Ok(Some(req)) = read_request(&mut stream) {
-                let resp = if req.oversized {
-                    app.reject_oversized(&req.method, &req.path)
-                } else {
-                    app.handle(&req.method, &req.path, &req.body)
+                let resp = match req.refused {
+                    Some((status, message)) => {
+                        app.reject_unread(&req.method, &req.path, status, message)
+                    }
+                    None => app.handle(&req.method, &req.path, &req.body),
                 };
                 let _ = write_response(&mut stream, &resp);
             }
@@ -1746,31 +1770,50 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Serves `app` on a loopback socket, writes `requests` one
+    /// connection each, and returns every raw response.
+    fn wire_exchange(app: &Arc<DemoApp>, requests: &[String]) -> Vec<String> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = ShutdownHandle::new();
+        let server = {
+            let app = Arc::clone(app);
+            let shutdown = shutdown.clone();
+            std::thread::spawn(move || serve_with_shutdown(app, listener, shutdown))
+        };
+        let responses = requests
+            .iter()
+            .map(|request| {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                // A server stuck waiting for body bytes fails the test
+                // instead of hanging it.
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(10)))
+                    .unwrap();
+                stream.write_all(request.as_bytes()).unwrap();
+                let mut buf = String::new();
+                stream.read_to_string(&mut buf).unwrap();
+                buf
+            })
+            .collect();
+        shutdown.request_shutdown();
+        server.join().unwrap().unwrap();
+        responses
+    }
+
     /// A `Content-Length` past the wire cap is answered `413` without the
     /// server reading the body at all — the client never even sends it.
     #[test]
     fn oversized_content_length_is_rejected_on_the_wire_without_reading() {
         let app = Arc::new(app());
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let shutdown = ShutdownHandle::new();
-        let server = {
-            let app = Arc::clone(&app);
-            let shutdown = shutdown.clone();
-            std::thread::spawn(move || serve_with_shutdown(app, listener, shutdown))
-        };
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write!(
-            stream,
-            "POST /api/traffic HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n",
-            MAX_BODY_BYTES + 1
-        )
-        .unwrap();
         // Deliberately send no body: the 413 must come back anyway.
-        let mut buf = String::new();
-        stream.read_to_string(&mut buf).unwrap();
-        shutdown.request_shutdown();
-        server.join().unwrap().unwrap();
+        let buf = &wire_exchange(
+            &app,
+            &[format!(
+                "POST /api/traffic HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n",
+                MAX_BODY_BYTES + 1
+            )],
+        )[0];
         assert!(buf.starts_with("HTTP/1.1 413 Payload Too Large"), "{buf}");
         assert_eq!(
             app.registry.counter_value(
@@ -1778,6 +1821,62 @@ mod tests {
                 &[("endpoint", "traffic"), ("status", "413")]
             ),
             1
+        );
+    }
+
+    /// A non-numeric `Content-Length` is a `400`, not an empty body.
+    #[test]
+    fn non_numeric_content_length_is_a_400_on_the_wire() {
+        let app = Arc::new(app());
+        let responses = wire_exchange(
+            &app,
+            &[
+                "POST /api/rate HTTP/1.1\r\nContent-Length: twelve\r\n\r\n".to_string(),
+                "POST /api/rate HTTP/1.1\r\nContent-Length: -3\r\n\r\n".to_string(),
+                "POST /api/rate HTTP/1.1\r\nContent-Length:\r\n\r\n".to_string(),
+            ],
+        );
+        for buf in &responses {
+            assert!(buf.starts_with("HTTP/1.1 400 Bad Request"), "{buf}");
+            assert!(buf.contains("malformed Content-Length"), "{buf}");
+        }
+        assert_eq!(
+            app.registry.counter_value(
+                "arp_http_requests_total",
+                &[("endpoint", "rate"), ("status", "400")]
+            ),
+            3
+        );
+    }
+
+    /// Two `Content-Length` headers that disagree are a `400`; repeating
+    /// the same value is still accepted.
+    #[test]
+    fn conflicting_content_lengths_are_a_400_on_the_wire() {
+        let app = Arc::new(app());
+        let responses = wire_exchange(
+            &app,
+            &[
+                "POST /api/rate HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n{}"
+                    .to_string(),
+                "GET /api/meta HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 0\r\n\r\n"
+                    .to_string(),
+            ],
+        );
+        assert!(
+            responses[0].starts_with("HTTP/1.1 400 Bad Request"),
+            "{}",
+            responses[0]
+        );
+        assert!(
+            responses[0].contains("conflicting Content-Length"),
+            "{}",
+            responses[0]
+        );
+        assert!(
+            responses[1].starts_with("HTTP/1.1 200 OK"),
+            "{}",
+            responses[1]
         );
     }
 
