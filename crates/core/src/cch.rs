@@ -12,15 +12,21 @@
 //!   (a fill-in count steers the order; no shortcut is ever pruned)
 //!   plus the full elimination fill-in, stored as undirected *arcs*
 //!   `{lo, hi}` with `rank[lo] < rank[hi]`, the
-//!   upward-arc CSR the queries walk, and the precomputed **lower
-//!   triangle** list the customization relaxes.
+//!   upward-arc CSR the queries walk (each node's slice sorted by
+//!   upper-endpoint rank descending, so an arc is found by binary
+//!   search), and the precomputed **lower triangle** list the
+//!   customization relaxes. A triangle `lo – mid – hi` stores only its
+//!   apex arc `{lo, hi}`: its side arcs are two positions in `mid`'s
+//!   upward slice. The build uses no hash table.
 //! * [`ChMetric`] — the cheap per-epoch half: two weights per arc
 //!   (`up` = lo→hi, `down` = hi→lo) computed by
 //!   [`ChTopology::customize`] in one linear pass over the original
 //!   edges (a `CLOSED` edge simply contributes nothing) followed by one
-//!   pass over the triangles in middle-rank order. No heap, no witness
-//!   searches — re-customizing after a traffic tick costs milliseconds
-//!   where rebuilding a witness-pruned CH costs seconds.
+//!   pass over the triangles in middle-rank order, recording for each
+//!   arc the middle vertex of the winning two-hop for unpacking. No
+//!   heap, no witness searches — re-customizing after a traffic tick
+//!   costs milliseconds where rebuilding a witness-pruned CH costs
+//!   seconds.
 //!
 //! Because every fill-in arc is kept, basic customization is exact for
 //! **any** non-negative metric: overlay factors ≥ 1.0, category slowdowns,
@@ -41,7 +47,8 @@
 //!   the whole graph.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::{EdgeId, NodeId};
@@ -68,6 +75,8 @@ pub struct ChTopology {
     num_edges: usize,
     /// Contraction rank per node; higher = contracted later.
     rank: Vec<u32>,
+    /// Nodes in rank order (the inverse of `rank`).
+    order: Vec<u32>,
     /// Arc endpoints, `rank[arc_lo[a]] < rank[arc_hi[a]]`, sorted by
     /// upper-endpoint rank **descending** so the PHAST sweep is a plain
     /// forward iteration.
@@ -77,13 +86,12 @@ pub struct ChTopology {
     /// adjacency both query searches walk).
     up_first: Vec<u32>,
     up_arcs: Vec<u32>,
-    /// Lower triangles, sorted by middle rank ascending: relaxing them
-    /// in order makes one pass sufficient ([`ChTopology::customize`]).
-    /// `tri_lo_arc[t] = {mid, lo}` and `tri_hi_arc[t] = {mid, hi}` are
-    /// the two side arcs of `tri_arc[t] = {lo, hi}`.
-    tri_arc: Vec<u32>,
-    tri_lo_arc: Vec<u32>,
-    tri_hi_arc: Vec<u32>,
+    /// Apex arc `{lo, hi}` of every lower triangle `lo – mid – hi`,
+    /// grouped by middle vertex in rank order: relaxing them in order
+    /// makes one pass sufficient ([`ChTopology::customize`]). The side
+    /// arcs `{mid, lo}` and `{mid, hi}` are not stored; they are read
+    /// from the middle vertex's upward slice.
+    tri_apex: Vec<u32>,
     /// Per original edge: the arc it maps onto (`NONE` for self-loops)
     /// and whether it runs lo→hi (`up`) or hi→lo (`down`).
     edge_arc: Vec<u32>,
@@ -92,7 +100,8 @@ pub struct ChTopology {
 
 /// One customized metric: per-arc `up`/`down` costs for a single weight
 /// column (traffic epoch), plus the unpacking data (`via_*` = the
-/// triangle whose lower path won, or the best original edge).
+/// middle vertex of the triangle whose lower path won, `best_*` = the
+/// best original edge when none did).
 ///
 /// Stamped with the epoch of the column it was customized from; the
 /// serving tier's `IndexManager` only hands a metric to a request pinned
@@ -129,106 +138,16 @@ impl ChTopology {
     /// topology.
     pub fn build(net: &RoadNetwork) -> ChTopology {
         let n = net.num_nodes();
-        // Undirected elimination graph (self-loops never matter).
-        let mut adj: Vec<HashSet<u32>> = vec![HashSet::new(); n];
-        for e in net.edges() {
-            let (t, h) = (net.tail(e).0, net.head(e).0);
-            if t != h {
-                adj[t as usize].insert(h);
-                adj[h as usize].insert(t);
-            }
-        }
+        let (rank, order, mut pairs) = contraction_order(net);
 
-        let mut contracted = vec![false; n];
-        let mut deleted = vec![0u32; n];
-        let mut rank = vec![0u32; n];
-        // Neighbors of each node at its contraction time (all
-        // higher-ranked): exactly the arcs with that node as `lo`.
-        let mut contract_nbrs: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut order: Vec<u32> = Vec::with_capacity(n);
-
-        // Edge difference (fill-in minus degree) plus the number of
-        // already-contracted neighbours, lazily re-evaluated. The fill-in
-        // count stands in for a witness search — it only steers the
-        // order, never the shortcut set.
-        let priority =
-            |adj: &[HashSet<u32>], contracted: &[bool], deleted: &[u32], v: u32| -> i64 {
-                let nbrs: Vec<u32> = adj[v as usize]
-                    .iter()
-                    .copied()
-                    .filter(|&u| !contracted[u as usize])
-                    .collect();
-                let degree = nbrs.len() as i64;
-                let mut fill = 0i64;
-                for (i, &a) in nbrs.iter().enumerate() {
-                    for &b in nbrs.iter().skip(i + 1) {
-                        if !adj[a as usize].contains(&b) {
-                            fill += 1;
-                        }
-                    }
-                }
-                (fill - degree) * 4 + deleted[v as usize] as i64
-            };
-
-        let mut heap: BinaryHeap<Reverse<(i64, u32)>> = BinaryHeap::new();
-        for v in 0..n as u32 {
-            heap.push(Reverse((priority(&adj, &contracted, &deleted, v), v)));
-        }
-        let mut next_rank = 0u32;
-        while let Some(Reverse((p, v))) = heap.pop() {
-            if contracted[v as usize] {
-                continue;
-            }
-            let current = priority(&adj, &contracted, &deleted, v);
-            if current > p {
-                heap.push(Reverse((current, v)));
-                continue;
-            }
-            let mut nbrs: Vec<u32> = adj[v as usize]
-                .iter()
-                .copied()
-                .filter(|&u| !contracted[u as usize])
-                .collect();
-            nbrs.sort_unstable();
-            // Chordal fill-in: every neighbor pair becomes adjacent.
-            for (i, &a) in nbrs.iter().enumerate() {
-                for &b in nbrs.iter().skip(i + 1) {
-                    if adj[a as usize].insert(b) {
-                        adj[b as usize].insert(a);
-                    }
-                }
-            }
-            for &u in &nbrs {
-                deleted[u as usize] += 1;
-            }
-            contracted[v as usize] = true;
-            rank[v as usize] = next_rank;
-            next_rank += 1;
-            contract_nbrs[v as usize] = nbrs;
-            order.push(v);
-        }
-
-        // Arc set: {v, u} for every u adjacent to v when v contracted.
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for &v in &order {
-            for &u in &contract_nbrs[v as usize] {
-                pairs.push((v, u));
-            }
-        }
         // PHAST order: upper-endpoint rank descending (deterministic
         // tie-break on the lower endpoint's rank).
         pairs.sort_unstable_by_key(|&(lo, hi)| (Reverse(rank[hi as usize]), rank[lo as usize]));
         let m = pairs.len();
-        let mut arc_lo = Vec::with_capacity(m);
-        let mut arc_hi = Vec::with_capacity(m);
-        let mut arc_index: HashMap<(u32, u32), u32> = HashMap::with_capacity(m);
-        for (i, &(lo, hi)) in pairs.iter().enumerate() {
-            arc_lo.push(lo);
-            arc_hi.push(hi);
-            arc_index.insert((lo.min(hi), lo.max(hi)), i as u32);
-        }
+        let (arc_lo, arc_hi): (Vec<u32>, Vec<u32>) = pairs.into_iter().unzip();
 
-        // Upward CSR keyed by the lower endpoint.
+        // Upward CSR keyed by the lower endpoint; each slice inherits the
+        // arc order, so it is sorted by upper-endpoint rank descending.
         let mut up_first = vec![0u32; n + 1];
         for &lo in &arc_lo {
             up_first[lo as usize + 1] += 1;
@@ -243,52 +162,95 @@ impl ChTopology {
             cursor[lo as usize] += 1;
         }
 
-        // Lower triangles, middle rank ascending (= contraction order).
-        let mut tri_arc = Vec::new();
-        let mut tri_lo_arc = Vec::new();
-        let mut tri_hi_arc = Vec::new();
-        for &v in &order {
-            let nbrs = &contract_nbrs[v as usize];
-            for (i, &a) in nbrs.iter().enumerate() {
-                for &b in nbrs.iter().skip(i + 1) {
-                    let (lo, hi) = if rank[a as usize] < rank[b as usize] {
-                        (a, b)
-                    } else {
-                        (b, a)
-                    };
-                    tri_arc.push(arc_index[&(lo.min(hi), lo.max(hi))]);
-                    tri_lo_arc.push(arc_index[&(v.min(lo), v.max(lo))]);
-                    tri_hi_arc.push(arc_index[&(v.min(hi), v.max(hi))]);
-                }
-            }
-        }
-
-        // Map every original edge onto its arc.
-        let mut edge_arc = vec![NONE; net.num_edges()];
-        let mut edge_is_up = vec![false; net.num_edges()];
-        for e in net.edges() {
-            let (t, h) = (net.tail(e).0, net.head(e).0);
-            if t == h {
-                continue;
-            }
-            edge_arc[e.index()] = arc_index[&(t.min(h), t.max(h))];
-            edge_is_up[e.index()] = rank[t as usize] < rank[h as usize];
-        }
-
-        ChTopology {
+        let mut topo = ChTopology {
             num_nodes: n,
             num_edges: net.num_edges(),
             rank,
+            order,
             arc_lo,
             arc_hi,
             up_first,
             up_arcs,
-            tri_arc,
-            tri_lo_arc,
-            tri_hi_arc,
-            edge_arc,
-            edge_is_up,
+            tri_apex: Vec::new(),
+            edge_arc: vec![NONE; net.num_edges()],
+            edge_is_up: vec![false; net.num_edges()],
+        };
+        topo.tri_apex = topo.triangle_apexes();
+
+        // Map every original edge onto its arc.
+        for e in net.edges() {
+            let (t, h) = (net.tail(e).0, net.head(e).0);
+            if t != h {
+                topo.edge_arc[e.index()] = topo.arc_between(t, h);
+                topo.edge_is_up[e.index()] = topo.rank[t as usize] < topo.rank[h as usize];
+            }
         }
+        topo
+    }
+
+    /// The upward-CSR slots of `v`.
+    fn up_range(&self, v: u32) -> Range<usize> {
+        self.up_first[v as usize] as usize..self.up_first[v as usize + 1] as usize
+    }
+
+    /// The upward arcs of `v`, sorted by upper-endpoint rank descending.
+    fn up_slice(&self, v: u32) -> &[u32] {
+        &self.up_arcs[self.up_range(v)]
+    }
+
+    /// The arc joining `x` and `y`, found by binary search in the
+    /// lower-ranked endpoint's upward slice.
+    fn arc_between(&self, x: u32, y: u32) -> u32 {
+        let (lo, hi) = if self.rank[x as usize] < self.rank[y as usize] {
+            (x, y)
+        } else {
+            (y, x)
+        };
+        let r = self.rank[hi as usize];
+        let slice = self.up_slice(lo);
+        let i = slice.partition_point(|&a| self.rank[self.arc_hi[a as usize] as usize] > r);
+        debug_assert_eq!(self.arc_hi[slice[i] as usize], hi, "no arc {{{x}, {y}}}");
+        slice[i]
+    }
+
+    /// The apex arc of every lower triangle, grouped by middle vertex in
+    /// rank order. For a middle vertex `v` with upward slice `s`, the
+    /// triangle at positions `i < j` of `s` has side arcs `s[i]` (to the
+    /// higher apex endpoint) and `s[j]` (to the lower one); triangles are
+    /// listed `j`-major, the order [`ChTopology::customize`] walks.
+    fn triangle_apexes(&self) -> Vec<u32> {
+        let count: usize = (0..self.num_nodes as u32)
+            .map(|v| {
+                let k = self.up_slice(v).len();
+                k * k.saturating_sub(1) / 2
+            })
+            .sum();
+        // Upper-endpoint rank per upward-CSR slot, so the searches below
+        // scan one contiguous array.
+        let slot_rank: Vec<u32> = self
+            .up_arcs
+            .iter()
+            .map(|&a| self.rank[self.arc_hi[a as usize] as usize])
+            .collect();
+        let mut apexes = Vec::with_capacity(count);
+        for &v in &self.order {
+            let side = self.up_range(v);
+            for j in 1..side.len() {
+                // The higher endpoints of `side[..j]` appear in the same
+                // (rank-descending) order in the lower endpoint's slice,
+                // so each search resumes where the last one ended.
+                let lo_slots = self.up_range(self.arc_hi[self.up_arcs[side.start + j] as usize]);
+                let lo_ranks = &slot_rank[lo_slots.clone()];
+                let mut at = 0;
+                for &r in &slot_rank[side.start..side.start + j] {
+                    at = gallop(lo_ranks, at, r);
+                    debug_assert_eq!(lo_ranks[at], r, "missing apex arc");
+                    apexes.push(self.up_arcs[lo_slots.start + at]);
+                }
+            }
+        }
+        debug_assert_eq!(apexes.len(), count);
+        apexes
     }
 
     /// Number of arcs (original adjacencies + elimination fill-in).
@@ -298,7 +260,7 @@ impl ChTopology {
 
     /// Number of lower triangles the customization relaxes.
     pub fn num_triangles(&self) -> usize {
-        self.tri_arc.len()
+        self.tri_apex.len()
     }
 
     /// Contraction rank of a node.
@@ -358,25 +320,35 @@ impl ChTopology {
             }
         }
 
-        for t in 0..self.tri_arc.len() {
-            let a = self.tri_arc[t] as usize;
-            let la = self.tri_lo_arc[t] as usize;
-            let ha = self.tri_hi_arc[t] as usize;
-            // up(a): lo → mid (down side of {mid,lo}) → hi (up side of
-            // {mid,hi}).
-            if down[la] != INFINITY && up[ha] != INFINITY {
-                let c = down[la] + up[ha];
-                if c < up[a] {
-                    up[a] = c;
-                    via_up[a] = t as u32;
-                }
-            }
-            // down(a): hi → mid → lo.
-            if down[ha] != INFINITY && up[la] != INFINITY {
-                let c = down[ha] + up[la];
-                if c < down[a] {
-                    down[a] = c;
-                    via_down[a] = t as u32;
+        // Triangles in the order `triangle_apexes` listed them: middle
+        // vertex `v` by rank, then the lower side `s[j]`, then the higher
+        // side `s[i]`, `i < j`.
+        let mut t = 0;
+        for &v in &self.order {
+            let side = self.up_slice(v);
+            for (j, &lo_side) in side.iter().enumerate().skip(1) {
+                let (lo_side_up, lo_side_down) = (up[lo_side as usize], down[lo_side as usize]);
+                let apexes = &self.tri_apex[t..t + j];
+                t += j;
+                for (&hi_side, &a) in side[..j].iter().zip(apexes) {
+                    let (hi_side, a) = (hi_side as usize, a as usize);
+                    // up(a): lo → v (down side of {v,lo}) → hi (up side
+                    // of {v,hi}).
+                    if lo_side_down != INFINITY && up[hi_side] != INFINITY {
+                        let c = lo_side_down + up[hi_side];
+                        if c < up[a] {
+                            up[a] = c;
+                            via_up[a] = v;
+                        }
+                    }
+                    // down(a): hi → v → lo.
+                    if down[hi_side] != INFINITY && lo_side_up != INFINITY {
+                        let c = down[hi_side] + lo_side_up;
+                        if c < down[a] {
+                            down[a] = c;
+                            via_down[a] = v;
+                        }
+                    }
                 }
             }
         }
@@ -443,11 +415,7 @@ impl ChTopology {
                 continue;
             }
             stats.settled += 1;
-            let (first, last) = (
-                self.up_first[v as usize] as usize,
-                self.up_first[v as usize + 1] as usize,
-            );
-            for &ai in &self.up_arcs[first..last] {
+            for &ai in self.up_slice(v) {
                 stats.relaxed += 1;
                 let w = match direction {
                     Direction::Forward => metric.up[ai as usize],
@@ -613,11 +581,7 @@ impl ChTopology {
                 best = d + od;
                 meet = v;
             }
-            let (first, last) = (
-                self.up_first[v as usize] as usize,
-                self.up_first[v as usize + 1] as usize,
-            );
-            for &ai in &self.up_arcs[first..last] {
+            for &ai in self.up_slice(v) {
                 let w = if use_up {
                     metric.up[ai as usize]
                 } else {
@@ -644,28 +608,170 @@ impl ChTopology {
 
     /// Unpacks the lo→hi traversal of an arc into original edges.
     fn unpack_up(&self, metric: &ChMetric, ai: u32, out: &mut Vec<EdgeId>) {
-        let via = metric.via_up[ai as usize];
-        if via == NONE {
+        let mid = metric.via_up[ai as usize];
+        if mid == NONE {
             debug_assert!(!metric.best_up[ai as usize].is_invalid());
             out.push(metric.best_up[ai as usize]);
         } else {
             // lo → mid (down side of {mid,lo}), then mid → hi.
-            self.unpack_down(metric, self.tri_lo_arc[via as usize], out);
-            self.unpack_up(metric, self.tri_hi_arc[via as usize], out);
+            let (lo, hi) = (self.arc_lo[ai as usize], self.arc_hi[ai as usize]);
+            self.unpack_down(metric, self.arc_between(mid, lo), out);
+            self.unpack_up(metric, self.arc_between(mid, hi), out);
         }
     }
 
     /// Unpacks the hi→lo traversal of an arc into original edges.
     fn unpack_down(&self, metric: &ChMetric, ai: u32, out: &mut Vec<EdgeId>) {
-        let via = metric.via_down[ai as usize];
-        if via == NONE {
+        let mid = metric.via_down[ai as usize];
+        if mid == NONE {
             debug_assert!(!metric.best_down[ai as usize].is_invalid());
             out.push(metric.best_down[ai as usize]);
         } else {
             // hi → mid (down side of {mid,hi}), then mid → lo.
-            self.unpack_down(metric, self.tri_hi_arc[via as usize], out);
-            self.unpack_up(metric, self.tri_lo_arc[via as usize], out);
+            let (lo, hi) = (self.arc_lo[ai as usize], self.arc_hi[ai as usize]);
+            self.unpack_down(metric, self.arc_between(mid, hi), out);
+            self.unpack_up(metric, self.arc_between(mid, lo), out);
         }
+    }
+}
+
+/// The first index `p >= from` with `ranks[p] <= r` in a descending
+/// `ranks`, found by exponential then binary search: cheap when `p` is
+/// close to `from`, logarithmic when it is far.
+fn gallop(ranks: &[u32], from: usize, r: u32) -> usize {
+    let mut bound = 1;
+    while from + bound < ranks.len() && ranks[from + bound] > r {
+        bound *= 2;
+    }
+    let lo = from + bound / 2;
+    let hi = (from + bound + 1).min(ranks.len());
+    lo + ranks[lo..hi].partition_point(|&x| x > r)
+}
+
+/// Greedy fill-in contraction order over the undirected graph structure.
+///
+/// Returns each node's rank, the nodes in rank order, and one `(lo, hi)`
+/// pair per arc: `{v, u}` for every `u` still adjacent to `v` when `v` is
+/// contracted.
+fn contraction_order(net: &RoadNetwork) -> (Vec<u32>, Vec<u32>, Vec<(u32, u32)>) {
+    let n = net.num_nodes();
+    let mut graph = EliminationGraph::new(net);
+    let mut deleted = vec![0u32; n];
+    let mut contracted = vec![false; n];
+    let mut rank = vec![0u32; n];
+    let mut order: Vec<u32> = Vec::with_capacity(n);
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+
+    // Edge difference (fill-in minus degree) plus the number of
+    // already-contracted neighbours, lazily re-evaluated. The fill-in
+    // count stands in for a witness search — it only steers the order,
+    // never the shortcut set.
+    let mut heap: BinaryHeap<Reverse<(i64, u32)>> = (0..n as u32)
+        .map(|v| Reverse((graph.priority(v, &deleted), v)))
+        .collect();
+    while let Some(Reverse((p, v))) = heap.pop() {
+        if contracted[v as usize] {
+            continue;
+        }
+        let current = graph.priority(v, &deleted);
+        if current > p {
+            heap.push(Reverse((current, v)));
+            continue;
+        }
+        let nbrs = graph.contract(v);
+        for &u in &nbrs {
+            deleted[u as usize] += 1;
+            pairs.push((v, u));
+        }
+        contracted[v as usize] = true;
+        rank[v as usize] = order.len() as u32;
+        order.push(v);
+    }
+    (rank, order, pairs)
+}
+
+/// The undirected elimination graph during contraction. Each adjacency
+/// list holds only the node's uncontracted neighbours, without
+/// duplicates; set tests go through a stamped mark array instead of a
+/// hash set.
+struct EliminationGraph {
+    adj: Vec<Vec<u32>>,
+    mark: Vec<u32>,
+    stamp: u32,
+}
+
+impl EliminationGraph {
+    fn new(net: &RoadNetwork) -> EliminationGraph {
+        let n = net.num_nodes();
+        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
+        // Self-loops never matter.
+        for e in net.edges() {
+            let (t, h) = (net.tail(e).0, net.head(e).0);
+            if t != h {
+                adj[t as usize].push(h);
+                adj[h as usize].push(t);
+            }
+        }
+        for list in &mut adj {
+            list.sort_unstable();
+            list.dedup();
+        }
+        EliminationGraph {
+            adj,
+            mark: vec![0; n],
+            stamp: 0,
+        }
+    }
+
+    /// Marks the neighbours of `v` with a fresh stamp and returns it.
+    fn mark_neighbours(&mut self, v: u32) -> u32 {
+        if self.stamp == u32::MAX {
+            self.mark.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        for &u in &self.adj[v as usize] {
+            self.mark[u as usize] = self.stamp;
+        }
+        self.stamp
+    }
+
+    /// `(fill - degree) * 4 + deleted[v]`, where `fill` counts the
+    /// non-adjacent pairs among `v`'s neighbours.
+    fn priority(&mut self, v: u32, deleted: &[u32]) -> i64 {
+        let stamp = self.mark_neighbours(v);
+        let nbrs = &self.adj[v as usize];
+        let degree = nbrs.len() as i64;
+        // Every adjacent neighbour pair is seen from both ends.
+        let mut links = 0i64;
+        for &a in nbrs {
+            for &b in &self.adj[a as usize] {
+                links += (self.mark[b as usize] == stamp) as i64;
+            }
+        }
+        let fill = degree * (degree - 1) / 2 - links / 2;
+        (fill - degree) * 4 + deleted[v as usize] as i64
+    }
+
+    /// Removes `v`, turns its neighbours into a clique (chordal fill-in)
+    /// and returns them.
+    fn contract(&mut self, v: u32) -> Vec<u32> {
+        let nbrs = std::mem::take(&mut self.adj[v as usize]);
+        for &u in &nbrs {
+            let list = &mut self.adj[u as usize];
+            if let Some(i) = list.iter().position(|&x| x == v) {
+                list.swap_remove(i);
+            }
+        }
+        for &a in &nbrs {
+            let stamp = self.mark_neighbours(a);
+            for &b in &nbrs {
+                if b != a && self.mark[b as usize] != stamp {
+                    self.adj[a as usize].push(b);
+                }
+            }
+        }
+        nbrs
     }
 }
 
@@ -888,5 +994,125 @@ mod tests {
         let metric = topo.customize(&net, net.weights()).unwrap();
         assert_eq!(metric.epoch(), 0);
         assert_eq!(metric.with_epoch(9).epoch(), 9);
+    }
+
+    /// FNV-1a over the little-endian bytes of each word.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    fn words(v: &[u32]) -> impl Iterator<Item = u64> + '_ {
+        v.iter().map(|&x| x as u64)
+    }
+
+    /// Every third edge slowed 3x, edges 0 and 7 closed.
+    fn closure_overlay(net: &RoadNetwork) -> Vec<Weight> {
+        let mut overlay = net.weights().to_vec();
+        for (i, w) in overlay.iter_mut().enumerate() {
+            if i % 3 == 0 {
+                *w = w.saturating_mul(3).min(u32::MAX - 1);
+            }
+        }
+        overlay[0] = CLOSED;
+        overlay[7] = CLOSED;
+        overlay
+    }
+
+    #[test]
+    fn topology_and_metrics_are_pinned() {
+        // Melbourne Small at the study's master seed; the digests were
+        // recorded from the hash-set builder this one replaced.
+        let city = arp_citygen::generate(
+            arp_citygen::City::Melbourne,
+            arp_citygen::Scale::Small,
+            20220509,
+        );
+        let net = &city.network;
+        let topo = ChTopology::build(net);
+        assert_eq!(topo.num_arcs(), 21344);
+        assert_eq!(topo.num_triangles(), 199465);
+        assert_eq!(fnv(words(&topo.rank)), 0x743f_7a4c_b5af_79cc, "rank");
+        assert_eq!(fnv(words(&topo.arc_lo)), 0x14a9_0d3d_02c6_0b77, "arc_lo");
+        assert_eq!(fnv(words(&topo.arc_hi)), 0xb358_a03f_bebd_92e9, "arc_hi");
+        assert_eq!(
+            fnv(words(&topo.up_first)),
+            0xaf94_8f91_df68_de7d,
+            "up_first"
+        );
+        assert_eq!(fnv(words(&topo.up_arcs)), 0xe736_829b_8734_daf5, "up_arcs");
+        assert_eq!(
+            fnv(words(&topo.edge_arc)),
+            0x6ebf_0cac_5678_fb9c,
+            "edge_arc"
+        );
+        let is_up = topo.edge_is_up.iter().map(|&b| b as u64);
+        assert_eq!(fnv(is_up), 0x20c1_9801_a035_2525, "edge_is_up");
+
+        let metric = topo.customize(net, net.weights()).unwrap();
+        assert_eq!(fnv(metric.up.iter().copied()), 0xee54_ca83_03b8_1c06, "up");
+        assert_eq!(
+            fnv(metric.down.iter().copied()),
+            0x73c4_f4c2_a152_c7ed,
+            "down"
+        );
+        assert_eq!(fnv(words(&metric.via_up)), 0x2278_c795_dee3_3761, "via_up");
+        assert_eq!(
+            fnv(words(&metric.via_down)),
+            0x2bd0_f74c_8681_ac12,
+            "via_down"
+        );
+
+        let metric = topo.customize(net, &closure_overlay(net)).unwrap();
+        assert_eq!(
+            fnv(metric.up.iter().copied()),
+            0xa975_98d1_5a06_8bf2,
+            "overlay up"
+        );
+        assert_eq!(
+            fnv(metric.down.iter().copied()),
+            0x6a26_69be_7366_f0ec,
+            "overlay down"
+        );
+        assert_eq!(
+            fnv(words(&metric.via_up)),
+            0xc830_9e42_e816_38bb,
+            "overlay via_up"
+        );
+        assert_eq!(
+            fnv(words(&metric.via_down)),
+            0x45e2_9f69_0633_13a0,
+            "overlay via_down"
+        );
+    }
+
+    #[test]
+    fn unpacked_edge_lists_are_pinned() {
+        let net = grid(6);
+        let topo = ChTopology::build(&net);
+        let overlay = closure_overlay(&net);
+        let metric = topo.customize(&net, &overlay).unwrap();
+        let edges = |s: u32, t: u32| -> Vec<u32> {
+            let p = topo.shortest_path(&metric, &net, &overlay, NodeId(s), NodeId(t));
+            p.unwrap().edges.iter().map(|e| e.0).collect()
+        };
+        assert_eq!(edges(0, 35), [1, 17, 22, 44, 65, 70, 91, 95, 100, 117]);
+        assert_eq!(edges(35, 0), [119, 116, 113, 109, 89, 67, 46, 41, 20, 16]);
+        assert_eq!(edges(7, 28), [22, 44, 65, 70, 91, 95]);
+        // Every ordered pair, each list behind a separator.
+        let mut all = Vec::new();
+        for s in 0..36 {
+            for t in (0..36).filter(|&t| t != s) {
+                all.push(u64::MAX);
+                all.extend(edges(s, t).into_iter().map(u64::from));
+            }
+        }
+        assert_eq!(fnv(all), 0x9a1c_302f_2795_2b7b);
     }
 }

@@ -52,14 +52,15 @@
 //!
 //! The request handler is a pure function over `(method, path, body)` so
 //! tests exercise the full API without sockets; `serve` adds the TCP loop
-//! — bounded per-connection threads, load shedding at the accept loop,
-//! and cooperative shutdown via [`ShutdownHandle`].
+//! — bounded per-connection threads, each with a deadline for its
+//! request and a cap on its head, load shedding at the accept loop, and
+//! cooperative shutdown via [`ShutdownHandle`].
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use arp_obs::{
     CompletedTrace, Registry, Span, SpanStatus, TraceId, TraceReceipt, DEFAULT_LATENCY_BUCKETS_MS,
@@ -78,6 +79,17 @@ use crate::store::{ResponseStore, Submission};
 /// Upper bound on concurrently handled TCP connections; the accept loop
 /// answers `503` beyond it instead of spawning without bound.
 pub const MAX_CONNECTIONS: usize = 128;
+
+/// Time a connection gets to deliver its whole request — request line,
+/// headers and body — counted from when its handler starts reading. A
+/// client that sends nothing, or trickles bytes, is dropped when it runs
+/// out, so idle sockets cannot pin the [`MAX_CONNECTIONS`] slots. The
+/// same bound applies to each write of the response.
+pub const REQUEST_READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Cap on the request line plus headers. A longer head is answered `431`
+/// without reading the rest.
+pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// Default cap on `POST /api/traffic` bodies. Deltas are operator
 /// commands — a handful of statements, not bulk data — so anything past
@@ -238,7 +250,8 @@ impl DemoApp {
         &self.service
     }
 
-    /// Answers a request refused at the wire — a `Content-Length` past
+    /// Answers a request refused at the wire — a head past
+    /// [`MAX_HEAD_BYTES`] (`431`), a `Content-Length` past
     /// [`MAX_BODY_BYTES`] (`413`) or one that is malformed or declared
     /// twice with different values (`400`). The body was never read, so
     /// this cannot go through the normal handler. Still counted in
@@ -926,34 +939,67 @@ struct RawRequest {
     refused: Option<(u16, &'static str)>,
 }
 
+/// A stream whose reads share one deadline: each read waits at most for
+/// the time left, so a client trickling bytes cannot stretch it.
+struct DeadlineReader {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
 /// Reads one HTTP request (request line, headers, body per
-/// `Content-Length`) from a stream. The body is **not read at all** when
-/// the declared length exceeds [`MAX_BODY_BYTES`] (`413`), or when a
-/// `Content-Length` is not a decimal number or two of them disagree
-/// (`400`): the request comes back `refused` so the serving loop can
-/// answer without having buffered a single body byte.
+/// `Content-Length`) from a stream, which must arrive within
+/// [`REQUEST_READ_TIMEOUT`] (past it the read fails with `TimedOut`).
+/// The request line and headers together may not exceed
+/// [`MAX_HEAD_BYTES`] (`431`). The body is **not read at all** when the
+/// head is too large, when the declared length exceeds
+/// [`MAX_BODY_BYTES`] (`413`), or when a `Content-Length` is not a
+/// decimal number or two of them disagree (`400`): the request comes
+/// back `refused` so the serving loop can answer without having buffered
+/// a single body byte.
 fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<RawRequest>> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line)? == 0 {
+    let mut reader = BufReader::new(DeadlineReader {
+        stream: stream.try_clone()?,
+        deadline: Instant::now() + REQUEST_READ_TIMEOUT,
+    });
+    let mut head = reader.by_ref().take(MAX_HEAD_BYTES as u64);
+    let mut line = String::new();
+    if head.read_line(&mut line)? == 0 {
         return Ok(None);
     }
-    let mut parts = request_line.split_whitespace();
+    let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("/").to_string();
 
     let mut content_length: Option<usize> = None;
     let mut refused = None;
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
+        if !line.ends_with('\n') {
+            // Cut short, by the head cap or by the end of the stream.
+            if head.limit() == 0 {
+                refused = Some((431, "request head too large"));
+            }
             break;
         }
-        let line = line.trim_end();
-        if line.is_empty() {
+        line.clear();
+        if head.read_line(&mut line)? == 0 {
             break;
         }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+        let header = line.trim_end();
+        if header.is_empty() {
+            break;
+        }
+        if let Some(v) = header.to_ascii_lowercase().strip_prefix("content-length:") {
             let v = v.trim();
             if v.is_empty() || !v.bytes().all(|b| b.is_ascii_digit()) {
                 refused = Some((400, "malformed Content-Length"));
@@ -989,6 +1035,20 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<RawRequest>> {
     }))
 }
 
+/// Ends a connection whose request was not read to the end: closes the
+/// sending half, then discards what the client still sends (at most
+/// [`MAX_HEAD_BYTES`], within [`REQUEST_READ_TIMEOUT`]). Closing a
+/// socket with unread input resets the connection, and the client could
+/// lose the response already sent.
+fn close_unread(stream: TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let rest = DeadlineReader {
+        stream,
+        deadline: Instant::now() + REQUEST_READ_TIMEOUT,
+    };
+    let _ = std::io::copy(&mut rest.take(MAX_HEAD_BYTES as u64), &mut std::io::sink());
+}
+
 fn write_response(stream: &mut TcpStream, resp: &HttpResponse) -> std::io::Result<()> {
     let reason = match resp.status {
         200 => "OK",
@@ -996,6 +1056,7 @@ fn write_response(stream: &mut TcpStream, resp: &HttpResponse) -> std::io::Resul
         404 => "Not Found",
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         502 => "Bad Gateway",
         503 => "Service Unavailable",
@@ -1036,8 +1097,10 @@ pub fn serve(app: Arc<DemoApp>, listener: TcpListener) -> std::io::Result<()> {
 /// Connection handling is bounded: at most [`MAX_CONNECTIONS`] handler
 /// threads run at a time, and connections beyond that are answered `503`
 /// with `Retry-After` on the accept thread instead of spawning without
-/// bound. On shutdown the loop stops accepting, then drains in-flight
-/// connections before returning.
+/// bound. A connection that has not delivered its request within
+/// [`REQUEST_READ_TIMEOUT`] is closed, freeing its slot. On shutdown the
+/// loop stops accepting, then drains in-flight connections before
+/// returning.
 pub fn serve_with_shutdown(
     app: Arc<DemoApp>,
     listener: TcpListener,
@@ -1061,14 +1124,19 @@ pub fn serve_with_shutdown(
         let app = Arc::clone(&app);
         let active = Arc::clone(&active);
         std::thread::spawn(move || {
+            let _ = stream.set_write_timeout(Some(REQUEST_READ_TIMEOUT));
             if let Ok(Some(req)) = read_request(&mut stream) {
-                let resp = match req.refused {
+                match req.refused {
                     Some((status, message)) => {
-                        app.reject_unread(&req.method, &req.path, status, message)
+                        let resp = app.reject_unread(&req.method, &req.path, status, message);
+                        let _ = write_response(&mut stream, &resp);
+                        close_unread(stream);
                     }
-                    None => app.handle(&req.method, &req.path, &req.body),
-                };
-                let _ = write_response(&mut stream, &resp);
+                    None => {
+                        let resp = app.handle(&req.method, &req.path, &req.body);
+                        let _ = write_response(&mut stream, &resp);
+                    }
+                }
             }
             active.fetch_sub(1, Ordering::AcqRel);
         });
@@ -1822,6 +1890,81 @@ mod tests {
             ),
             1
         );
+    }
+
+    /// A request head past the cap is answered `431` without the server
+    /// reading the rest of it.
+    #[test]
+    fn oversized_request_head_is_a_431_on_the_wire() {
+        let app = Arc::new(app());
+        let filler = "x".repeat(MAX_HEAD_BYTES);
+        let buf = &wire_exchange(
+            &app,
+            &[format!(
+                "GET /api/health HTTP/1.1\r\nX-Filler: {filler}\r\n\r\n"
+            )],
+        )[0];
+        assert!(
+            buf.starts_with("HTTP/1.1 431 Request Header Fields Too Large"),
+            "{buf}"
+        );
+        // Just under the cap is still served.
+        let filler = "x".repeat(MAX_HEAD_BYTES / 2);
+        let buf = &wire_exchange(
+            &app,
+            &[format!(
+                "GET /api/health HTTP/1.1\r\nX-Filler: {filler}\r\n\r\n"
+            )],
+        )[0];
+        assert!(buf.starts_with("HTTP/1.1 200 OK"), "{buf}");
+    }
+
+    /// Connections that never send a byte used to hold their slots for
+    /// ever, so once [`MAX_CONNECTIONS`] of them were open every new
+    /// request got `503`. The request deadline frees the slots.
+    #[test]
+    fn idle_connections_do_not_starve_new_requests() {
+        let app = Arc::new(app());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = ShutdownHandle::new();
+        let server = {
+            let app = Arc::clone(&app);
+            let shutdown = shutdown.clone();
+            std::thread::spawn(move || serve_with_shutdown(app, listener, shutdown))
+        };
+        let start = Instant::now();
+        let idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+        // Few probes (a handful of sockets), starting once the idle
+        // connections' deadline has passed.
+        std::thread::sleep(REQUEST_READ_TIMEOUT);
+        let give_up = start + REQUEST_READ_TIMEOUT + Duration::from_secs(1);
+        let mut last = String::new();
+        loop {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            // The accept loop's inline 503 closes with the request
+            // unread, which the client may see as a reset: not a 200.
+            last.clear();
+            if stream
+                .write_all(b"GET /api/health HTTP/1.1\r\nHost: localhost\r\n\r\n")
+                .is_ok()
+            {
+                let _ = stream.read_to_string(&mut last);
+            }
+            if last.starts_with("HTTP/1.1 200 OK") || Instant::now() >= give_up {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(200));
+        }
+        assert!(last.starts_with("HTTP/1.1 200 OK"), "{last}");
+        drop(idle);
+        shutdown.request_shutdown();
+        server.join().unwrap().unwrap();
     }
 
     /// A non-numeric `Content-Length` is a `400`, not an empty body.
